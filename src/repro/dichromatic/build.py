@@ -48,8 +48,7 @@ __all__ = [
     "build_dichromatic_network_matrix",
     "dichromatic_network_from_matrix",
     "ego_network_edge_count",
-    "ego_network_edge_count_bits",
-    "ego_edge_count_from_masks",
+    "ego_edge_counts_from_masks",
     "ego_edge_count_from_matrix",
 ]
 
@@ -142,7 +141,10 @@ def dichromatic_network_from_masks(
     The parallel fan-out workers hold the reduced graph only as the two
     adjacency-mask lists shipped at pool start (no :class:`SignedGraph`
     object exists in the worker), so the builder's real implementation
-    lives at this level.
+    lives at this level.  The bitset sweeps pass the survivors of an
+    ego peel (:func:`repro.kernels.active.ego_core_mask`,
+    :func:`~repro.kernels.active.ego_bicore_mask`) as ``allowed_mask``,
+    so only those are built.
     """
     pos_u = pos_bits[u]
     neg_u = neg_bits[u]
@@ -250,36 +252,39 @@ def ego_network_edge_count(
     return count // 2
 
 
-def ego_network_edge_count_bits(
-    graph: SignedGraph,
-    u: int,
-    allowed_mask: int | None = None,
-) -> int:
-    """Bitset fast path of :func:`ego_network_edge_count`."""
-    return ego_edge_count_from_masks(
-        graph.pos_adjacency_bits(), graph.neg_adjacency_bits(),
-        u, allowed_mask)
-
-
-def ego_edge_count_from_masks(
+def ego_edge_counts_from_masks(
     pos_bits: list[int],
     neg_bits: list[int],
     u: int,
     allowed_mask: int | None = None,
-) -> int:
-    """:func:`ego_network_edge_count_bits` over raw mask arrays (the
-    representation the parallel workers hold)."""
-    members = pos_bits[u] | neg_bits[u]
+) -> tuple[int, int]:
+    """``(|E(G_u)|, |E(g_u)|)`` from the global adjacency masks.
+
+    The ego-network's edge count (any sign) and the dichromatic
+    network's (positive same-side plus negative cross-side edges), both
+    without building ``g_u`` — the bitset sweeps build it only over the
+    vertices that survive the ego peel, yet the SR1 statistic of
+    Table IV is defined on the unpeeled network.
+    """
+    left = pos_bits[u]
+    right = neg_bits[u]
     if allowed_mask is not None:
-        members &= allowed_mask
-    count = 0
-    rest = members
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        count += ((pos_bits[v] | neg_bits[v]) & members).bit_count()
-    return count // 2
+        left &= allowed_mask
+        right &= allowed_mask
+    members = left | right
+    ego = 0
+    kept = 0
+    for side, other in ((left, right), (right, left)):
+        rest = side
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            pos_v = pos_bits[v]
+            neg_v = neg_bits[v]
+            ego += ((pos_v | neg_v) & members).bit_count()
+            kept += (pos_v & side).bit_count() + (neg_v & other).bit_count()
+    return ego // 2, kept // 2
 
 
 def ego_edge_count_from_matrix(
@@ -288,7 +293,7 @@ def ego_edge_count_from_matrix(
     u: int,
     allowed_row: "Row | None" = None,
 ) -> int:
-    """:func:`ego_edge_count_from_masks` over mask matrices.
+    """:func:`ego_network_edge_count` over mask matrices.
 
     Positive and negative edge sets are disjoint, so the two induced
     counts sum to ``|E(G_u)|``.

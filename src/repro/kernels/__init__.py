@@ -23,11 +23,12 @@ from typing import Callable
 
 from . import npmask
 from .active import (
-    active_edge_count_mask,
     bicore_active_mask,
     coloring_upper_bound_active_mask,
     degeneracy_ordering_mask,
     degree_in_active,
+    ego_bicore_mask,
+    ego_core_mask,
     intersect_active,
     k_core_active_mask,
 )
@@ -147,11 +148,12 @@ __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
     "validate_engine",
-    "active_edge_count_mask",
     "bicore_active_mask",
     "coloring_upper_bound_active_mask",
     "degeneracy_ordering_mask",
     "degree_in_active",
+    "ego_bicore_mask",
+    "ego_core_mask",
     "intersect_active",
     "k_core_active_mask",
     "adjacency_masks",

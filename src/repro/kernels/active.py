@@ -9,6 +9,13 @@ mask, and touches no graph objects at all, so a graph only pays the
 mask-building cost once and every node after that runs on word-parallel
 integer ops.
 
+The ego pair :func:`ego_core_mask` / :func:`ego_bicore_mask` peels a
+dichromatic network ``g_u`` before it exists: it works on the *signed*
+graph's global adjacency masks, where a member ``v`` on side ``S`` has
+the dichromatic neighbours ``(P[v] & S) | (N[v] & other side)``, and
+returns the survivors in global ids.  Callers build the local network
+over the survivors only.
+
 Semantics mirror the set implementations in
 :mod:`repro.dichromatic.cores` exactly (the differential engine tests
 assert this); only tie-breaking inside the greedy colouring order may
@@ -24,8 +31,9 @@ __all__ = [
     "bicore_active_mask",
     "coloring_upper_bound_active_mask",
     "first_fit_color_count",
-    "active_edge_count_mask",
     "degeneracy_ordering_mask",
+    "ego_core_mask",
+    "ego_bicore_mask",
 ]
 
 
@@ -249,12 +257,144 @@ def degeneracy_ordering_mask(adj: list[int], active: int) -> list[int]:
     return order
 
 
-def active_edge_count_mask(adj: list[int], active: int) -> int:
-    """Number of edges of the subgraph induced by ``active``."""
-    total = 0
-    rest = active
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        total += (adj[low.bit_length() - 1] & active).bit_count()
-    return total // 2
+def _ego_sides(
+    pos: list[int], neg: list[int], u: int, allowed: int
+) -> tuple[int, int, dict[int, tuple[int, int, bool]]]:
+    """Sides of ``g_u`` and each member's neighbours in it.
+
+    Returns ``(left, right, members)``: ``left``/``right`` are ``u``'s
+    allowed positive/negative neighbours, and ``members[v]`` is
+    ``(same, cross, on_left)`` — the members on ``v``'s own side and on
+    the other side adjacent to ``v`` in ``g_u`` (global-id masks), and
+    whether ``v`` is an L-member.
+    """
+    left = pos[u] & allowed
+    right = neg[u] & allowed
+    members: dict[int, tuple[int, int, bool]] = {}
+    for side, other, on_left in ((left, right, True),
+                                 (right, left, False)):
+        rest = side
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            members[v] = (pos[v] & side, neg[v] & other, on_left)
+    return left, right, members
+
+
+def ego_core_mask(
+    pos: list[int], neg: list[int], u: int, allowed: int, k: int
+) -> int:
+    """Label-blind ``k``-core of ``g_u``, peeled in global ids.
+
+    ``g_u`` is the dichromatic network of ``u`` over its ``allowed``
+    neighbours, without ``u`` itself (see
+    :mod:`repro.dichromatic.build`).  The result equals
+    :func:`k_core_active_mask` on the built network, mapped back to
+    global ids.  A non-empty ``k``-core has more than ``k`` vertices,
+    so the peel stops as soon as no more than ``k`` remain.
+    """
+    if k <= 0:
+        return (pos[u] | neg[u]) & allowed
+    left, right, members = _ego_sides(pos, neg, u, allowed)
+    alive = left | right
+    neighbours: dict[int, int] = {}
+    degree: dict[int, int] = {}
+    stack: list[int] = []
+    for v, (same, cross, _on_left) in members.items():
+        nb = same | cross
+        neighbours[v] = nb
+        d = nb.bit_count()
+        degree[v] = d
+        if d < k:
+            stack.append(v)
+    remaining = len(members)
+    while stack:
+        if remaining <= k:
+            return 0
+        # A member is pushed once: when its degree first drops below k.
+        v = stack.pop()
+        alive ^= 1 << v
+        remaining -= 1
+        rest = neighbours[v] & alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            dw = degree[w] - 1
+            degree[w] = dw
+            if dw == k - 1:
+                stack.append(w)
+    return alive
+
+
+def ego_bicore_mask(
+    pos: list[int],
+    neg: list[int],
+    u: int,
+    allowed: int,
+    tau_l: int,
+    tau_r: int,
+) -> int:
+    """``(tau_L, tau_R)``-core of ``g_u``, peeled in global ids.
+
+    Same thresholds as :func:`bicore_active_mask` on the built network
+    (L is ``u``'s positive side): a surviving L-member keeps
+    ``>= tau_L - 1`` L- and ``>= tau_R`` R-neighbours, a surviving
+    R-member ``>= tau_L`` L- and ``>= tau_R - 1`` R-neighbours.  Once a
+    side holds fewer members than its (positive) threshold, nothing can
+    survive, so the peel stops there.
+    """
+    tau_l = max(tau_l, 0)
+    tau_r = max(tau_r, 0)
+    if tau_l == 0 and tau_r == 0:
+        return (pos[u] | neg[u]) & allowed
+    left, right, members = _ego_sides(pos, neg, u, allowed)
+    alive = left | right
+    left_deg: dict[int, int] = {}
+    right_deg: dict[int, int] = {}
+    stack: list[int] = []
+    queued: dict[int, bool] = {}
+    for v, (same, cross, on_left) in members.items():
+        if on_left:
+            l_count, r_count = same.bit_count(), cross.bit_count()
+            short = l_count < tau_l - 1 or r_count < tau_r
+        else:
+            l_count, r_count = cross.bit_count(), same.bit_count()
+            short = l_count < tau_l or r_count < tau_r - 1
+        left_deg[v] = l_count
+        right_deg[v] = r_count
+        if short:
+            stack.append(v)
+            queued[v] = True
+    left_count = left.bit_count()
+    right_count = right.bit_count()
+    while stack:
+        if left_count < tau_l or right_count < tau_r:
+            return 0
+        v = stack.pop()
+        alive ^= 1 << v
+        same, cross, v_left = members[v]
+        if v_left:
+            left_count -= 1
+        else:
+            right_count -= 1
+        rest = (same | cross) & alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            if v_left:
+                left_deg[w] -= 1
+            else:
+                right_deg[w] -= 1
+            if w in queued:
+                continue
+            if members[w][2]:
+                short = left_deg[w] < tau_l - 1 or right_deg[w] < tau_r
+            else:
+                short = left_deg[w] < tau_l or right_deg[w] < tau_r - 1
+            if short:
+                stack.append(w)
+                queued[w] = True
+    return alive

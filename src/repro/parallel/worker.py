@@ -18,7 +18,8 @@ rebuilt worker-side from the shipped order
 
 The per-task body of :func:`run_mdc_chunk` mirrors the serial bitset
 sweep of :func:`repro.core.mbc_star.mbc_star` line for line (cheap
-candidate bound, network build, core reduction, colouring bound, MDC)
+candidate bound, core reduction on the global masks, survivor-only
+network build, colouring bound, MDC)
 with one difference: the bar is read from the shared incumbent at task
 start, so any worker's improvement tightens every later task in every
 process.  :func:`run_dcc_chunk` is the PF* analogue: one DCC
@@ -32,16 +33,15 @@ from typing import TYPE_CHECKING, Any
 
 from ..core.stats import SearchStats
 from ..dichromatic.build import dichromatic_network_from_masks, \
-    dichromatic_network_from_matrix, ego_edge_count_from_masks, \
-    ego_edge_count_from_matrix
+    dichromatic_network_from_matrix, ego_edge_count_from_matrix, \
+    ego_edge_counts_from_masks
 from ..dichromatic.dcc import dichromatic_clique_witness
 from ..dichromatic.mdc import solve_mdc
 from ..kernels import npmask
 from ..kernels.active import (
-    active_edge_count_mask,
-    bicore_active_mask,
     coloring_upper_bound_active_mask,
-    k_core_active_mask,
+    ego_bicore_mask,
+    ego_core_mask,
 )
 from ..kernels.bitset import masks_from_bytes, masks_to_bytes
 from ..obs import Span, TraceBuffer, Tracer, get_tracer, install_tracer
@@ -322,32 +322,30 @@ def _mdc_ego_bits(
         return "bound", 0, None, None
     if pos_count + neg_count + 1 < required:
         return "bound", pos_count + neg_count + 1, None, None
-    network = dichromatic_network_from_masks(
-        pos_bits, neg_bits, u, allowed)
-    if network.num_vertices + 1 < required:
-        return "size", network.num_vertices + 1, None, None
-    adj_bits = network.adjacency_bits()
-    active_mask = network.all_bits()
-    if ctx.use_core:
-        active_mask = k_core_active_mask(
-            adj_bits, required - 2, active_mask)
+    # The network is built over the survivors of the global-id peel
+    # only; the member count above is already |V(g_u)|.
+    survivors = ego_core_mask(
+        pos_bits, neg_bits, u, allowed,
+        required - 2 if ctx.use_core else 0)
     # Core/colour prunes certify only "nothing >= required": an
     # anchored clique of size required - 1 may live outside the
     # (required - 2)-core, so the bound cannot be tightened further.
-    if active_mask.bit_count() + 1 < required:
+    if survivors.bit_count() + 1 < required:
         return "core", required - 1, None, None
+    network = dichromatic_network_from_masks(
+        pos_bits, neg_bits, u, survivors)
     if ctx.use_coloring:
-        bound = coloring_upper_bound_active_mask(adj_bits, active_mask)
+        bound = coloring_upper_bound_active_mask(
+            network.adjacency_bits(), network.all_bits())
         if bound < required - 1:
             return "color", required - 1, None, None
-    ego.set(n=network.num_vertices, reduced=active_mask.bit_count())
+    ego.set(n=pos_count + neg_count, reduced=network.num_vertices)
     if stats is not None:
         stats.instances += 1
-        ego_edges = ego_edge_count_from_masks(
+        ego_edges, dichromatic_edges = ego_edge_counts_from_masks(
             pos_bits, neg_bits, u, allowed)
-        reduced_edges = active_edge_count_mask(adj_bits, active_mask)
         stats.record_reduction(
-            ego_edges, network.num_edges, reduced_edges)
+            ego_edges, dichromatic_edges, network.num_edges)
     found = solve_mdc(
         network, tau - 1, tau,
         must_exceed=required - 2,
@@ -355,7 +353,6 @@ def _mdc_ego_bits(
         engine="bitset",
         use_coloring=ctx.use_coloring,
         use_core=ctx.use_core,
-        active_mask=active_mask,
         trace=tracer)
     # Exhaustive above the floor: a witness is the exact anchored
     # optimum; no witness proves nothing >= required exists.
@@ -569,30 +566,28 @@ def _dcc_ego_bits(
     allowed = ctx.allowed(u)
     # Cheap candidate bound first: the witness needs bar_used positive
     # and bar_used + 1 negative candidates besides u.
-    if ((pos_bits[u] & allowed).bit_count() < bar_used
-            or (neg_bits[u] & allowed).bit_count() < bar_used + 1):
+    pos_count = (pos_bits[u] & allowed).bit_count()
+    neg_count = (neg_bits[u] & allowed).bit_count()
+    if pos_count < bar_used or neg_count < bar_used + 1:
         return "bound", None, None
-    network = dichromatic_network_from_masks(
-        pos_bits, neg_bits, u, allowed)
-    adj_bits = network.adjacency_bits()
-    left_bits = network.left_bits()
-    active_mask = bicore_active_mask(
-        adj_bits, left_bits, bar_used, bar_used + 1,
-        network.all_bits())
-    left_count = (active_mask & left_bits).bit_count()
-    right_count = active_mask.bit_count() - left_count
+    survivors = ego_bicore_mask(
+        pos_bits, neg_bits, u, allowed, bar_used, bar_used + 1)
+    left_count = (survivors & pos_bits[u]).bit_count()
+    right_count = survivors.bit_count() - left_count
     if left_count < bar_used or right_count < bar_used + 1:
         return "core", None, None
-    ego.set(n=network.num_vertices)
+    network = dichromatic_network_from_masks(
+        pos_bits, neg_bits, u, survivors)
+    ego.set(n=pos_count + neg_count)
     if stats is not None:
         stats.instances += 1
-        ego_edges = ego_edge_count_from_masks(
+        ego_edges, dichromatic_edges = ego_edge_counts_from_masks(
             pos_bits, neg_bits, u, allowed)
-        reduced = active_edge_count_mask(adj_bits, active_mask)
-        stats.record_reduction(ego_edges, network.num_edges, reduced)
+        stats.record_reduction(
+            ego_edges, dichromatic_edges, network.num_edges)
     found = dichromatic_clique_witness(
         network, bar_used, bar_used + 1, stats=stats,
-        engine="bitset", active_mask=active_mask, trace=tracer)
+        engine="bitset", trace=tracer)
     return None, network, found
 
 

@@ -217,6 +217,16 @@ class SignedGraph:
             self._neg_bits = adjacency_masks(self._neg)
         return self._neg_bits
 
+    def cached_adjacency_bits(self) -> "tuple[list[int], list[int]] | None":
+        """``(positive, negative)`` masks if both are already built.
+
+        Never builds them: a caller with a mask path and a set path
+        (the heuristic) takes the masks only when they are free.
+        """
+        if self._pos_bits is None or self._neg_bits is None:
+            return None
+        return self._pos_bits, self._neg_bits
+
     def pos_adjacency_matrix(self) -> "Matrix":
         """Positive adjacency as a uint64 mask matrix, lazily cached.
 

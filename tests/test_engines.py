@@ -31,7 +31,9 @@ from repro.core.pf import pf_binary_search, pf_star
 from repro.core.reductions import edge_reduction, edge_reduction_fast
 from repro.core.result import BalancedClique
 from repro.dichromatic.build import build_dichromatic_network, \
-    build_dichromatic_network_bits, build_dichromatic_network_matrix
+    build_dichromatic_network_bits, build_dichromatic_network_matrix, \
+    dichromatic_network_from_masks, ego_edge_counts_from_masks, \
+    ego_network_edge_count
 from repro.dichromatic.cores import bicore_active, \
     coloring_upper_bound_active, k_core_active
 from repro.dichromatic.dcc import dichromatic_clique_witness
@@ -42,7 +44,8 @@ from repro.kernels import ENGINE_REGISTRY, ENGINES, EngineSpec, \
     validate_engine
 from repro.kernels.active import bicore_active_mask, \
     coloring_upper_bound_active_mask, degeneracy_ordering_mask, \
-    degree_in_active, intersect_active, k_core_active_mask
+    degree_in_active, ego_bicore_mask, ego_core_mask, intersect_active, \
+    k_core_active_mask
 from repro.kernels.bitset import bits_of, mask_of, masks_to_bytes
 from repro.signed.graph import SignedGraph
 from repro.unsigned.graph import UnsignedGraph
@@ -306,6 +309,85 @@ class TestNetworkBuilderDifferential:
             assert by_set.origin == by_bits.origin
             assert by_set.is_left == by_bits.is_left
             assert sorted(by_set.edges()) == sorted(by_bits.edges())
+
+
+def _ego_case(seed: int) -> "tuple[SignedGraph, int, int]":
+    """A seeded graph, an anchor and a random allowed mask."""
+    graph = random_signed_graph(seed)
+    rng = random.Random(seed + 2000)
+    u = rng.randrange(graph.num_vertices)
+    allowed = set(rng.sample(
+        range(graph.num_vertices),
+        rng.randint(0, graph.num_vertices))) - {u}
+    return graph, u, mask_of(allowed)
+
+
+class TestEgoPeelKernels:
+    """The global-id ego peels against peeling the built network."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2, 4, 7])
+    def test_core_matches_built_network(self, seed, k):
+        graph, u, allowed = _ego_case(seed)
+        network = build_dichromatic_network_bits(graph, u, allowed)
+        local = k_core_active_mask(
+            network.adjacency_bits(), k, network.all_bits())
+        expected = {network.origin[v] for v in bits_of(local)}
+        got = ego_core_mask(graph.pos_adjacency_bits(),
+                            graph.neg_adjacency_bits(), u, allowed, k)
+        assert set(bits_of(got)) == expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize(
+        "taus", [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (3, 1), (4, 5)])
+    def test_bicore_matches_built_network(self, seed, taus):
+        graph, u, allowed = _ego_case(seed)
+        tau_l, tau_r = taus
+        network = build_dichromatic_network_bits(graph, u, allowed)
+        local = bicore_active_mask(
+            network.adjacency_bits(), network.left_bits(), tau_l, tau_r,
+            network.all_bits())
+        expected = {network.origin[v] for v in bits_of(local)}
+        got = ego_bicore_mask(graph.pos_adjacency_bits(),
+                              graph.neg_adjacency_bits(), u, allowed,
+                              tau_l, tau_r)
+        assert set(bits_of(got)) == expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_survivor_network_is_induced_subnetwork(self, seed):
+        graph, u, allowed = _ego_case(seed)
+        pos = graph.pos_adjacency_bits()
+        neg = graph.neg_adjacency_bits()
+        full = build_dichromatic_network_bits(graph, u, allowed)
+        survivors = ego_core_mask(pos, neg, u, allowed, 2)
+        part = dichromatic_network_from_masks(pos, neg, u, survivors)
+        assert set(part.origin) == set(bits_of(survivors))
+        # Local ids keep the full network's relative order, so the
+        # search sees the same tie-breaks on the smaller network.
+        assert part.origin == [v for v in full.origin
+                               if survivors >> v & 1]
+        assert [part.is_left[i] for i in range(part.num_vertices)] == [
+            full.is_left[i] for i, v in enumerate(full.origin)
+            if survivors >> v & 1]
+        by_origin = {(full.origin[a], full.origin[b])
+                     for a, b in full.edges()}
+        expected = {(a, b) for a, b in by_origin
+                    if survivors >> a & 1 and survivors >> b & 1}
+        assert {(part.origin[a], part.origin[b])
+                for a, b in part.edges()} == expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_edge_counts_describe_unpeeled_network(self, seed):
+        graph, u, allowed = _ego_case(seed)
+        allowed_set = set(bits_of(allowed))
+        for mask, container in [(None, None), (allowed, allowed_set)]:
+            counts = ego_edge_counts_from_masks(
+                graph.pos_adjacency_bits(), graph.neg_adjacency_bits(),
+                u, mask)
+            network = build_dichromatic_network(graph, u, container)
+            assert counts == (
+                ego_network_edge_count(graph, u, container),
+                network.num_edges)
 
 
 class TestKernelPrimitives:

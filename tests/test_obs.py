@@ -573,3 +573,82 @@ class TestAcceptance:
         assert not result.is_empty
         coverage = span_time_coverage(tracer.records, "sweep", "ego")
         assert coverage >= 0.9
+
+
+class TestEgoSpanMeaning:
+    """``ego`` spans report ``n = |V(g_u)|`` (the members before any
+    peel) and ``reduced`` = the survivors, whatever the sweep builds."""
+
+    @staticmethod
+    def _check_sweep(graph, tracer):
+        """Replay the sweep from the trace: the vertices of earlier
+        ``ego`` spans are exactly the higher-ranked ones, so each
+        reported ``n`` is recomputable from the input graph alone."""
+        earlier: set[int] = set()
+        checked = 0
+        for record in tracer.records:
+            if record["name"] != "ego":
+                continue
+            attrs = record["attrs"]
+            v = attrs["v"]
+            if "n" in attrs:
+                assert attrs["n"] == len(graph.neighbors(v) & earlier)
+                assert attrs.get("reduced", 0) <= attrs["n"]
+                checked += 1
+            earlier.add(v)
+        return checked
+
+    @pytest.mark.parametrize("engine", ["set", "bitset"])
+    def test_mbc_star_ego_n_is_member_count(self, engine):
+        graph = load("sn2", 0.3)
+        tracer = get_tracer(True)
+        mbc_star(graph, 3, engine=engine, trace=tracer)
+        assert self._check_sweep(graph, tracer) > 0
+        peeled = [r["attrs"] for r in tracer.records
+                  if r["name"] == "ego" and "reduced" in r["attrs"]]
+        assert any(a["reduced"] < a["n"] for a in peeled)
+
+    @pytest.mark.parametrize("engine", ["set", "bitset"])
+    def test_pf_star_ego_n_is_member_count(self, engine):
+        graph = load("bookcross", 0.3)
+        tracer = get_tracer(True)
+        pf_star(graph, engine=engine, trace=tracer)
+        assert self._check_sweep(graph, tracer) > 0
+
+    def test_worker_helpers_report_known_ego(self):
+        from repro.parallel.incumbent import SharedIncumbent
+        from repro.parallel.worker import WorkerContext, _dcc_ego_bits, \
+            _mdc_ego_bits
+        from repro.signed.graph import SignedGraph
+
+        # g_0 over {1..5}: L = {1, 2, 3} (positive to 0), R = {4, 5}.
+        # 1-2-3 is a positive triangle, 4-5 a positive pair, and 1, 2
+        # have negative edges to 4, 5 while 3 has none, so the 3-core
+        # of g_0 is {1, 2, 4, 5}.
+        graph = SignedGraph(6)
+        for v in (1, 2, 3):
+            graph.add_edge(0, v, 1)
+        for v in (4, 5):
+            graph.add_edge(0, v, -1)
+        for a, b in ((1, 2), (1, 3), (2, 3), (4, 5)):
+            graph.add_edge(a, b, 1)
+        for a in (1, 2):
+            for b in (4, 5):
+                graph.add_edge(a, b, -1)
+        ctx = WorkerContext(
+            graph.pos_adjacency_bits(), graph.neg_adjacency_bits(),
+            graph.num_vertices, 2, [0, 1, 2, 3, 4, 5], SharedIncumbent(0))
+        tracer = get_tracer(True)
+        with tracer.span("ego", v=0) as ego:
+            pruned, _upper, network, found = _mdc_ego_bits(
+                ctx, 0, 5, None, tracer, ego)
+        assert pruned is None and found is not None
+        assert network is not None and sorted(network.origin) == [
+            1, 2, 4, 5]
+        assert tracer.records[-1]["attrs"]["n"] == 5
+        assert tracer.records[-1]["attrs"]["reduced"] == 4
+        with tracer.span("ego", v=0) as ego:
+            pruned, network, found = _dcc_ego_bits(
+                ctx, 0, 1, None, tracer, ego)
+        assert pruned is None and found is not None
+        assert tracer.records[-1]["attrs"]["n"] == 5
