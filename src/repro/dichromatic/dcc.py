@@ -41,7 +41,6 @@ def dichromatic_clique_check(
     stats: "SearchStats | None" = None,
     active: set[int] | None = None,
     engine: str = "bitset",
-    active_mask: int | None = None,
     active_row: "Row | None" = None,
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
@@ -49,15 +48,14 @@ def dichromatic_clique_check(
     """True iff ``graph`` has a dichromatic clique meeting the quotas.
 
     ``active`` optionally restricts the search to a vertex subset
-    (callers pass an already-core-reduced set); the bitset engine also
-    accepts it pre-packed as ``active_mask``, the numpy engine as an
-    ``active_row``.  ``trace`` defaults to the ambient tracer; each
-    check closes one ``dcc`` span.  A ``budget`` is charged one node
-    per branch-and-bound node.
+    (callers pass an already-core-reduced set); the numpy engine also
+    accepts it pre-packed as an ``active_row``.  ``trace`` defaults to
+    the ambient tracer; each check closes one ``dcc`` span.  A
+    ``budget`` is charged one node per branch-and-bound node.
     """
     return dichromatic_clique_witness(
         graph, tau_l, tau_r, stats=stats, active=active,
-        engine=engine, active_mask=active_mask, active_row=active_row,
+        engine=engine, active_row=active_row,
         trace=trace, budget=budget) is not None
 
 
@@ -68,7 +66,6 @@ def dichromatic_clique_witness(
     stats: "SearchStats | None" = None,
     active: set[int] | None = None,
     engine: str = "bitset",
-    active_mask: int | None = None,
     active_row: "Row | None" = None,
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
@@ -82,8 +79,8 @@ def dichromatic_clique_witness(
         engine=engine)
     with span:
         found = _witness(graph, tau_l, tau_r, stats, active, engine,
-                         active_mask, active_row,
-                         span if tracer.enabled else None, budget)
+                         active_row, span if tracer.enabled else None,
+                         budget)
         if tracer.enabled:
             span.set(found=found is not None)
     return found
@@ -96,7 +93,6 @@ def _witness(
     stats: "SearchStats | None",
     active: set[int] | None,
     engine: str,
-    active_mask: int | None,
     active_row: "Row | None",
     span: Span | None,
     budget: "Budget | None",
@@ -114,10 +110,7 @@ def _witness(
         return None
     if engine == "numpy":
         if active_row is None:
-            if active_mask is not None:
-                active_row = npmask.row_from_mask(
-                    active_mask, graph.num_vertices)
-            elif active is not None:
+            if active is not None:
                 active_row = npmask.row_from_mask(
                     mask_of(active), graph.num_vertices)
             else:
@@ -128,11 +121,7 @@ def _witness(
                 witness, span, budget):
             return set(witness)
         return None
-    if active_mask is None:
-        if active is None:
-            active_mask = graph.all_bits()
-        else:
-            active_mask = mask_of(active)
+    active_mask = graph.all_bits() if active is None else mask_of(active)
     if _check_bits(
             graph.adjacency_bits(), graph.left_bits(), graph.num_vertices,
             active_mask, tau_l, tau_r, stats, witness, span, budget):

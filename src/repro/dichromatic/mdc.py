@@ -78,7 +78,6 @@ def solve_mdc(
     use_coloring: bool = True,
     use_core: bool = True,
     engine: str = "bitset",
-    active_mask: int | None = None,
     active_row: "Row | None" = None,
     trace: Tracer | None = None,
     budget: "Budget | None" = None,
@@ -112,12 +111,8 @@ def solve_mdc(
     engine:
         ``"bitset"`` (default), ``"numpy"`` or ``"set"`` — see the
         module docstring.
-    active_mask:
-        Bitset-engine fast path for ``active``: callers that already
-        hold the active set as a mask (MBC* after its mask-based core
-        reduction) pass it here to skip a set/mask round-trip.
     active_row:
-        Numpy-engine analogue of ``active_mask``: the active set as a
+        Numpy-engine fast path for ``active``: the active set as a
         uint64 mask row (MBC*/PF* pass their already-peeled row).
     trace:
         Optional :class:`repro.obs.Tracer`; defaults to the ambient
@@ -141,8 +136,8 @@ def solve_mdc(
     with span:
         found = _solve(
             graph, tau_l, tau_r, must_exceed, stats, check_only,
-            active, use_coloring, use_core, engine, active_mask,
-            active_row, span if tracer.enabled else None, budget)
+            active, use_coloring, use_core, engine, active_row,
+            span if tracer.enabled else None, budget)
         if tracer.enabled:
             span.set(found=found is not None)
             nodes = span.attrs.get("nodes", 0)
@@ -162,7 +157,6 @@ def _solve(
     use_coloring: bool,
     use_core: bool,
     engine: str,
-    active_mask: int | None,
     active_row: "Row | None",
     span: Span | None,
     budget: "Budget | None",
@@ -186,10 +180,7 @@ def _solve(
 
     if engine == "numpy":
         if active_row is None:
-            if active_mask is not None:
-                active_row = npmask.row_from_mask(
-                    active_mask, graph.num_vertices)
-            elif active is not None:
+            if active is not None:
                 active_row = npmask.row_from_mask(
                     mask_of(active), graph.num_vertices)
             else:
@@ -205,11 +196,7 @@ def _solve(
             return found.clique
         return state_n.best
 
-    if active_mask is None:
-        if active is None:
-            active_mask = graph.all_bits()
-        else:
-            active_mask = mask_of(active)
+    active_mask = graph.all_bits() if active is None else mask_of(active)
     state_b = _BitsetState(graph, must_exceed, stats)
     state_b.use_coloring = use_coloring
     state_b.use_core = use_core
